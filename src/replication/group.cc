@@ -234,6 +234,9 @@ bool ReplicaGroup::ShipOnce(FollowerState* f) {
     }
   }
   if (f->stop.load(std::memory_order_acquire)) return true;
+  // Stalled while waiting for records: ship nothing. A record appended
+  // after StallFollower returned is read only after the flag was set.
+  if (f->stalled.load(std::memory_order_acquire)) return true;
   if (role_cache_.load(std::memory_order_acquire) != Role::kLeader) {
     return true;  // retired mid-flight; the stop flag follows
   }

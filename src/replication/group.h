@@ -162,7 +162,10 @@ class ReplicaGroup : public BranchMutationObserver,
   // --- test seams --------------------------------------------------------
 
   // Pauses/resumes the sender for `endpoint` (the stalled-follower
-  // quorum test). No-op when the endpoint has no sender.
+  // quorum test). Once a stall call returns, no record appended after it
+  // is shipped to `endpoint` until it is resumed — including one that
+  // arrives while the sender is waiting for records. No-op when the
+  // endpoint has no sender.
   void StallFollower(const std::string& endpoint, bool stalled);
   // Promotes this member unconditionally (no probing): epoch+1, leader
   // role, snapshot every other member.

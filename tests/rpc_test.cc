@@ -209,11 +209,16 @@ TEST(ServerHostileInputTest, ResponseFramesDisconnectAfterBoundedErrors) {
   rpc::Socket sock = live.RawConnect();
 
   constexpr int kSent = 32;  // well past the default protocol-error bound
+  // The whole burst goes out in one write: the kernel takes all of it
+  // before the server reads (or hangs up on) any frame. Sent frame by
+  // frame, a send after the server's disconnect would fail and end the
+  // test before it checks anything.
+  Bytes burst;
   for (int i = 0; i < kSent; ++i) {
-    ASSERT_TRUE(rpc::SendFrame(&sock, rpc::FrameType::kReply,
-                               1000 + static_cast<uint64_t>(i), Slice())
-                    .ok());
+    rpc::EncodeFrame(rpc::FrameType::kReply, 1000 + static_cast<uint64_t>(i),
+                     Slice(), &burst);
   }
+  ASSERT_TRUE(sock.SendAll(burst.data(), burst.size()).ok());
 
   // Drain replies until the server hangs up. Every reply that does come
   // back is an InvalidArgument control response, and there are at most
